@@ -26,7 +26,7 @@ bench:
 
 # bench-sim runs the hot-path microbenchmarks — the simulation kernel,
 # the lock-free metrics collector, the timer wheel, the serve data
-# plane, the rig's cycle walk, and the popularity sampler — the set CI
+# plane, the rig's cycle walk, and the popularity draw — the set CI
 # compares old-vs-new with benchstat. BENCH_COUNT>1 gives benchstat
 # samples to work with.
 bench-sim:
@@ -64,7 +64,7 @@ repro:
 # suite runs every experiment on a parallel worker pool and writes the
 # per-run metrics document next to the artifacts.
 suite:
-	$(GO) run ./cmd/memsim -experiments -parallel 0 -out results -json results/metrics.json
+	$(GO) run ./cmd/memsbench -parallel 0 -out results -json results/metrics.json
 
 # smoke runs the memserve↔memsload end-to-end check: load with stalled
 # clients, zero leaked admission slots, graceful SIGTERM drain (exit 0).

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -37,8 +38,9 @@ func main() {
 }
 
 // run executes the tool against the given arguments, writing artifacts to
-// w. Factored out of main so the CLI surface is testable.
-func run(args []string, w io.Writer) error {
+// w. Factored out of main so the CLI surface is testable. The error is
+// named so the deferred heap-profile write can report its own failure.
+func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("memsbench", flag.ContinueOnError)
 	fs.SetOutput(w)
 	list := fs.Bool("list", false, "list experiment IDs and exit")
@@ -73,14 +75,14 @@ func run(args []string, w io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			return err
+		f, ferr := os.Create(*memProfile)
+		if ferr != nil {
+			return ferr
 		}
 		defer func() {
-			runtime.GC() // settle allocations so the heap profile is steady-state
-			pprof.WriteHeapProfile(f)
-			f.Close()
+			if werr := writeHeapProfile(f); err == nil {
+				err = werr
+			}
 		}()
 	}
 
@@ -138,6 +140,25 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "perf: %s (%d runs)\n", *perfPath, len(suite.Runs))
+	}
+	return nil
+}
+
+// writeHeapProfile writes a steady-state heap profile to f and closes it.
+// pprof ignores its writer's errors, so the profile goes through a buffer
+// and the file write reports a failure such as a full disk.
+func writeHeapProfile(f *os.File) error {
+	runtime.GC() // settle allocations so the heap profile is steady-state
+	var buf bytes.Buffer
+	err := pprof.WriteHeapProfile(&buf)
+	if err == nil {
+		_, err = f.Write(buf.Bytes())
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("memprofile: %w", err)
 	}
 	return nil
 }

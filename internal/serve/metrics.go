@@ -67,27 +67,39 @@ func (m *Metrics) LagQuantile(q float64) (float64, bool) { return m.Lag.Quantile
 // lagSamples reports how many lag observations were made.
 func (m *Metrics) lagSamples() uint64 { return m.Lag.N() }
 
-// counterMap renders every outcome counter under its wire name — the one
-// schema shared by the METRICS text line and the HTTP /metrics document.
+// wireCounters is the one ordered table of outcome counters under their
+// wire names — the schema shared by the METRICS text line and the HTTP
+// /metrics document.
+var wireCounters = [...]struct {
+	name string
+	load func(*Metrics) uint64
+}{
+	{"accepted", func(m *Metrics) uint64 { return m.Accepted.Load() }},
+	{"sheds", func(m *Metrics) uint64 { return m.Sheds.Load() }},
+	{"reaped", func(m *Metrics) uint64 { return m.Reaped.Load() }},
+	{"aborted", func(m *Metrics) uint64 { return m.Aborted.Load() }},
+	{"bad_requests", func(m *Metrics) uint64 { return m.BadRequests.Load() }},
+	{"admitted_total", func(m *Metrics) uint64 { return m.AdmittedTotal.Load() }},
+	{"admission_busy", func(m *Metrics) uint64 { return m.AdmissionBusy.Load() }},
+	{"completed", func(m *Metrics) uint64 { return m.Completed.Load() }},
+	{"evicted", func(m *Metrics) uint64 { return m.Evicted.Load() }},
+	{"bytes_out", func(m *Metrics) uint64 { return m.BytesOut.Total() }},
+	{"wheel_ticks", func(m *Metrics) uint64 { return m.WheelTicks.Load() }},
+	{"wheel_fires", func(m *Metrics) uint64 { return m.WheelFires.Load() }},
+}
+
+// counterMap renders every outcome counter under its wire name.
 func (m *Metrics) counterMap() map[string]uint64 {
-	return map[string]uint64{
-		"accepted":       m.Accepted.Load(),
-		"sheds":          m.Sheds.Load(),
-		"reaped":         m.Reaped.Load(),
-		"aborted":        m.Aborted.Load(),
-		"bad_requests":   m.BadRequests.Load(),
-		"admitted_total": m.AdmittedTotal.Load(),
-		"admission_busy": m.AdmissionBusy.Load(),
-		"completed":      m.Completed.Load(),
-		"evicted":        m.Evicted.Load(),
-		"bytes_out":      m.BytesOut.Total(),
-		"wheel_ticks":    m.WheelTicks.Load(),
-		"wheel_fires":    m.WheelFires.Load(),
+	out := make(map[string]uint64, len(wireCounters))
+	for _, c := range wireCounters {
+		out[c.name] = c.load(m)
 	}
+	return out
 }
 
 // Line renders the expvar-style single-line METRICS response body:
-// space-separated key=value pairs, stable key order. admitted is the
+// space-separated key=value pairs, stable key order — the outcome
+// counters, then the gauges, then the lag histogram. admitted is the
 // current admission-controller gauge, passed in by the server because
 // the controller lives behind its lock, not here.
 //
@@ -96,21 +108,11 @@ func (m *Metrics) counterMap() map[string]uint64 {
 // rendered as lag_p50_ms=0.000).
 func (m *Metrics) Line(admitted int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "accepted=%d", m.Accepted.Load())
-	fmt.Fprintf(&b, " sheds=%d", m.Sheds.Load())
-	fmt.Fprintf(&b, " reaped=%d", m.Reaped.Load())
-	fmt.Fprintf(&b, " aborted=%d", m.Aborted.Load())
-	fmt.Fprintf(&b, " bad_requests=%d", m.BadRequests.Load())
-	fmt.Fprintf(&b, " admitted=%d", admitted)
-	fmt.Fprintf(&b, " admitted_total=%d", m.AdmittedTotal.Load())
-	fmt.Fprintf(&b, " admission_busy=%d", m.AdmissionBusy.Load())
-	fmt.Fprintf(&b, " active_streams=%d", m.ActiveStreams.Load())
-	fmt.Fprintf(&b, " completed=%d", m.Completed.Load())
-	fmt.Fprintf(&b, " evicted=%d", m.Evicted.Load())
-	fmt.Fprintf(&b, " bytes_out=%d", m.BytesOut.Total())
-	fmt.Fprintf(&b, " wheel_streams=%d", m.WheelStreams.Load())
-	fmt.Fprintf(&b, " wheel_ticks=%d", m.WheelTicks.Load())
-	fmt.Fprintf(&b, " wheel_fires=%d", m.WheelFires.Load())
+	for _, c := range wireCounters {
+		fmt.Fprintf(&b, "%s=%d ", c.name, c.load(m))
+	}
+	fmt.Fprintf(&b, "admitted=%d active_streams=%d wheel_streams=%d",
+		admitted, m.ActiveStreams.Load(), m.WheelStreams.Load())
 	// One snapshot serves both the count and the quantiles, so the line
 	// can never pair lag_samples=0 with a nonzero quantile (torn read).
 	snap := m.Lag.Snapshot()

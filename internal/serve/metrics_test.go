@@ -43,6 +43,11 @@ func TestMetricsLineOmitsQuantilesWithoutSamples(t *testing.T) {
 	if _, present := kv["aborted"]; !present {
 		t.Error("aborted key missing from METRICS line")
 	}
+	for k := range m.counterMap() {
+		if _, present := kv[k]; !present {
+			t.Errorf("/metrics counter %q missing from METRICS line", k)
+		}
+	}
 
 	m.ObserveLag(0) // a true zero-lag quantum
 	kv = parseLine(t, m.Line(3))

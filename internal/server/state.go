@@ -25,9 +25,8 @@ import (
 
 // playerSoA is every stream's playback state in parallel arrays indexed
 // by stream slot (the rig's player index). It also carries the pool-wide
-// DRAM occupancy accounting that used to live in dram.Pool: the rig's
-// pool was always unlimited, so what mattered was the running total and
-// its high-water mark.
+// DRAM occupancy accounting: the rig's pool is unlimited, so what matters
+// is the running total and its high-water mark.
 type playerSoA struct {
 	pos       []int64         // next block to read from the stream's source device
 	startAt   []time.Duration // playback begins (and margins anchor) here
@@ -82,8 +81,8 @@ const (
 // consTables holds every VBR trace prefix-sum and pause-phase schedule of
 // a run in shared append-only arrays. Each profile is an (offset, length)
 // window; lookups reproduce the arithmetic of the closure-based
-// traceIntegrator/pauseIntegrator (which survive, below in rig.go, as the
-// behavioral reference) operation for operation, so a drain computes the
+// traceIntegrator/pauseIntegrator (the behavioral reference, kept in
+// integrators_test.go) operation for operation, so a drain computes the
 // same float64s it always did.
 type consTables struct {
 	// VBR traces: prefix[off+i] is the bytes consumed by the end of

@@ -9,6 +9,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"memstream/internal/sim"
@@ -52,10 +53,7 @@ type Title struct {
 type Catalog struct {
 	Titles []Title
 	total  float64
-
-	// sampler serves Pick in O(1) per draw; nil for degenerate weight
-	// vectors (non-finite or negative), which keep the linear scan.
-	sampler *Sampler
+	cum    []float64 // cum[i] = w[0]+…+w[i], the prefix sums Pick searches
 }
 
 // XYDistribution is the paper's popularity model: X% of titles receive Y%
@@ -145,7 +143,7 @@ func NewCatalog(n int, c MediaClass, w []float64, blockSize units.Bytes) (*Catal
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("workload: non-positive block size")
 	}
-	cat := &Catalog{Titles: make([]Title, n)}
+	cat := &Catalog{Titles: make([]Title, n), cum: make([]float64, n)}
 	var lbn int64
 	for i := 0; i < n; i++ {
 		size := c.Size()
@@ -162,9 +160,9 @@ func NewCatalog(n int, c MediaClass, w []float64, blockSize units.Bytes) (*Catal
 			StartLB: lbn,
 		}
 		cat.total += w[i]
+		cat.cum[i] = cat.total
 		lbn += blocks
 	}
-	cat.sampler = NewSampler(w, cat.total)
 	return cat, nil
 }
 
@@ -178,41 +176,15 @@ func (c *Catalog) TotalSize() units.Bytes {
 	return s
 }
 
-// Pick draws a title according to the popularity weights. The draw is
-// O(1) in the catalog size (see Sampler) and byte-identical to the linear
-// subtraction scan it replaced, which survives as pickLinear — both the
-// behavioral reference for the equivalence tests and the fallback for
-// weight vectors the sampler refuses (non-finite or negative weights).
+// Pick draws a title according to the popularity weights: one Float64
+// scaled to the weight total, resolved by binary search over the prefix
+// sums to the first title whose cumulative weight reaches it.
 func (c *Catalog) Pick(rng *sim.RNG) *Title {
-	if c.sampler != nil {
-		return &c.Titles[c.sampler.Draw(rng)]
+	i := sort.SearchFloat64s(c.cum, rng.Float64()*c.total)
+	if i == len(c.cum) {
+		i-- // rounding put u past the last prefix sum
 	}
-	return c.pickLinear(rng)
-}
-
-// pickLinear is the legacy draw: one Float64 scaled to the weight total,
-// walked down the weights until it crosses zero.
-func (c *Catalog) pickLinear(rng *sim.RNG) *Title {
-	u := rng.Float64() * c.total
-	for i := range c.Titles {
-		u -= c.Titles[i].Weight
-		if u <= 0 {
-			return &c.Titles[i]
-		}
-	}
-	return &c.Titles[len(c.Titles)-1]
-}
-
-// pickLinearAt resolves an explicit u against the subtraction scan —
-// the oracle the sampler equivalence tests probe boundary-by-boundary.
-func (c *Catalog) pickLinearAt(u float64) int {
-	for i := range c.Titles {
-		u -= c.Titles[i].Weight
-		if u <= 0 {
-			return i
-		}
-	}
-	return len(c.Titles) - 1
+	return &c.Titles[i]
 }
 
 // TopFraction returns how much access probability the most popular

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -166,6 +169,111 @@ func TestCatalogPickFollowsWeights(t *testing.T) {
 	frac := float64(hot) / draws
 	if math.Abs(frac-0.9) > 0.01 {
 		t.Errorf("hot fraction = %v, want ≈0.9", frac)
+	}
+}
+
+// TestPickChiSquared checks the draw distribution against the exact Zipf
+// weights at several exponents: with 200k draws over 100 titles the χ²
+// statistic should sit far below the df=99, p=0.001 critical value (~149)
+// unless Pick is biased.
+func TestPickChiSquared(t *testing.T) {
+	const n, draws = 100, 200000
+	for _, alpha := range []float64{0.5, 0.8, 1.0, 1.2, 1.5} {
+		w := Zipf(n, alpha)
+		cat, _ := NewCatalog(n, MP3, w, 512)
+		rng := sim.NewRNG(7)
+		counts := make([]int, n)
+		for i := 0; i < draws; i++ {
+			counts[cat.Pick(rng).Rank]++
+		}
+		var chi2 float64
+		for i, c := range counts {
+			exp := w[i] * draws
+			d := float64(c) - exp
+			chi2 += d * d / exp
+		}
+		if chi2 > 149 {
+			t.Errorf("alpha=%.1f: chi²=%.1f exceeds the df=99 p=0.001 critical value", alpha, chi2)
+		}
+	}
+}
+
+// TestPickSplitDeterminism: generators seeded from the same RNG.Split
+// lineage draw identical populations — the property the shard layer's
+// per-partition seeding relies on.
+func TestPickSplitDeterminism(t *testing.T) {
+	cat, _ := NewCatalog(64, MP3, XYDistribution{X: 10, Y: 90}.Weights(64), 512)
+	seq := func() []int {
+		rng := sim.NewRNG(99).Split()
+		out := make([]int, 4096)
+		for i := range out {
+			out[i] = cat.Pick(rng).ID
+		}
+		return out
+	}
+	if a, b := seq(), seq(); !reflect.DeepEqual(a, b) {
+		t.Fatal("draws diverged under identical Split lineage")
+	}
+}
+
+// TestPickPinnedSequence pins the first 20,000 title IDs Pick draws at
+// seed 42 (one decimal ID per line, sha256) across the popularity shapes
+// the rigs use plus two edge cases. The digests were recorded from the
+// linear subtraction scan Pick ran before the prefix-sum search, so a
+// change to the draw that moves any title shows here before it shows in
+// the experiment goldens.
+func TestPickPinnedSequence(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    []float64
+		want string
+	}{
+		{"xy-10-90-64", XYDistribution{X: 10, Y: 90}.Weights(64),
+			"be801bd13b765c46e734a5c0fbae3fa1429f107d07f8a44a8038a1f130bc145c"},
+		{"xy-1-99-200", XYDistribution{X: 1, Y: 99}.Weights(200),
+			"29844a0b4ff1a92c8e9084a913550ccfdc4ea8f6cddd0fb600a477df89f26d50"},
+		{"xy-50-50-100", XYDistribution{X: 50, Y: 50}.Weights(100),
+			"26a8fc7f01193214b80b00afc7f532e321720604774c7270dd094b6f7517edd4"},
+		{"zipf-1.0-1000", Zipf(1000, 1.0),
+			"a508cc7c75fb8e384c8423958574e1d0a76c49ac103f90db8ba480f0f5856808"},
+		{"zipf-0.5-64", Zipf(64, 0.5),
+			"e85e6f4501e7264375396c83e3377b54836b98537389b2b42753d49c5fb108ac"},
+		{"single", []float64{1},
+			"4ff729b219deacccbbc43b1b28a895d1c0319254b9b80d4da040c4a4724a7846"},
+		{"lopsided", []float64{1e-30, 0.9, 1e-30, 0.1, 1e-300},
+			"d3aba5d618ddd3ba5bb18efb56b6a50333232a6b0a2ca0418d7f6fb754d26ed5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cat, _ := NewCatalog(len(tc.w), MP3, tc.w, 512)
+			rng := sim.NewRNG(42)
+			h := sha256.New()
+			for i := 0; i < 20000; i++ {
+				fmt.Fprintf(h, "%d\n", cat.Pick(rng).ID)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("draw sequence sha256 = %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestDrawRangeLargeCatalogBound guards against a super-linear cost
+// hiding behind catalog size: building a 100,000-title Zipf catalog and
+// drawing 100,000 streams from it must take well under the 2 s bound
+// (milliseconds here, also under the race detector).
+func TestDrawRangeLargeCatalogBound(t *testing.T) {
+	const n = 100000
+	start := time.Now()
+	cat, err := NewCatalog(n, MP3, Zipf(n, 1.0), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := NewGenerator(cat, 1).DrawRange(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("catalog build + %d draws took %v, bound 2s", len(set.Streams), elapsed)
 	}
 }
 
@@ -369,3 +477,21 @@ func TestWeightsMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func benchmarkPick(b *testing.B, n int) {
+	cat, err := NewCatalog(n, MP3, Zipf(n, 1.0), 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += cat.Pick(rng).Rank
+	}
+	_ = sink
+}
+
+func BenchmarkPick64(b *testing.B)   { benchmarkPick(b, 64) }
+func BenchmarkPick4096(b *testing.B) { benchmarkPick(b, 4096) }
