@@ -26,11 +26,11 @@ bench:
 
 # bench-sim runs the hot-path microbenchmarks — the simulation kernel,
 # the lock-free metrics collector, the timer wheel, the serve data
-# plane, the rig's cycle walk, and the popularity draw — the set CI
-# compares old-vs-new with benchstat. BENCH_COUNT>1 gives benchstat
-# samples to work with.
+# plane, the rig's cycle walk, the popularity draw, and the disk's
+# C-LOOK batch — the set CI compares old-vs-new with benchstat.
+# BENCH_COUNT>1 gives benchstat samples to work with.
 bench-sim:
-	$(GO) test -run '^$$' -bench . -benchmem -count $(or $(BENCH_COUNT),1) ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ ./internal/server/ ./internal/workload/
+	$(GO) test -run '^$$' -bench . -benchmem -count $(or $(BENCH_COUNT),1) ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ ./internal/server/ ./internal/workload/ ./internal/disk/
 
 # bench-record appends one BENCH_<n>.json point to the kernel performance
 # trajectory (microbenchmarks + per-experiment events/sec).
@@ -47,15 +47,17 @@ profile:
 		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof -out profiles
 	@echo "profiles: profiles/cpu.pprof profiles/mem.pprof"
 
-# profile-scale profiles the sharded scaling scenario — the per-partition
-# steady-state hot path (SoA cycle walk, pooled C-LOOK dispatch, event
-# kernel) that dominates million-stream runs. Reading workflow in
-# EXPERIMENTS.md ("Profiling the scaling hot path").
+# profile-scale profiles one 4096-stream partition of the million-stream
+# run (BenchmarkMillionStreamsPartition: 4096-request C-LOOK batches, SoA
+# cycle walk, event kernel, one reused arena) — the unit that run repeats
+# 245 times. Reading workflow in EXPERIMENTS.md ("Profiling the scaling
+# hot path").
 profile-scale:
 	mkdir -p profiles
-	$(GO) run ./cmd/memsbench -run shardscale -shards 1 \
-		-cpuprofile profiles/scale-cpu.pprof -memprofile profiles/scale-mem.pprof -out profiles
-	@echo "profiles: profiles/scale-cpu.pprof profiles/scale-mem.pprof"
+	$(GO) test -run '^$$' -bench MillionStreamsPartition -benchtime 300x \
+		-cpuprofile profiles/scale-cpu.pprof -memprofile profiles/scale-mem.pprof \
+		-o profiles/shard.test ./internal/shard/
+	@echo "profiles: profiles/scale-cpu.pprof profiles/scale-mem.pprof (binary profiles/shard.test)"
 
 # repro writes every table/figure to results/ as text artifacts.
 repro:

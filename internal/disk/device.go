@@ -25,6 +25,7 @@ type zone struct {
 type Device struct {
 	p        Params
 	exponent float64
+	period   time.Duration // p.RotationPeriod(), resolved once
 	zones    []zone
 	cyls     int
 	geom     device.Geometry
@@ -95,7 +96,7 @@ func New(p Params) (*Device, error) {
 		return nil, fmt.Errorf("disk: %s: capacity too small for %d zones", p.Name, p.Zones)
 	}
 
-	d := &Device{p: p, exponent: p.seekExponent(), cyls: cyls}
+	d := &Device{p: p, exponent: p.seekExponent(), period: p.RotationPeriod(), cyls: cyls}
 	perZone := cyls / p.Zones
 	var lbn int64
 	for z := 0; z < p.Zones; z++ {
@@ -157,7 +158,11 @@ func (d *Device) zoneOf(lbn int64) *zone {
 
 // locate maps an LBN to (cylinder, head, sector).
 func (d *Device) locate(lbn int64) (cyl, head int, sector int64) {
-	z := d.zoneOf(lbn)
+	return d.locateIn(d.zoneOf(lbn), lbn)
+}
+
+// locateIn is locate for an lbn already known to lie in zone z.
+func (d *Device) locateIn(z *zone, lbn int64) (cyl, head int, sector int64) {
 	off := lbn - z.firstBlock
 	perCyl := int64(d.p.Heads) * z.sectors
 	cyl = z.firstCyl + int(off/perCyl)
@@ -175,8 +180,10 @@ func (d *Device) Cylinder(lbn int64) int {
 
 // SeekTime returns the arm move time from the current cylinder to the
 // cylinder holding lbn, without rotational wait.
-func (d *Device) SeekTime(lbn int64) time.Duration {
-	target, _, _ := d.locate(lbn)
+func (d *Device) SeekTime(lbn int64) time.Duration { return d.seekTo(d.Cylinder(lbn)) }
+
+// seekTo returns the arm move time from the current cylinder to target.
+func (d *Device) seekTo(target int) time.Duration {
 	dist := target - d.cyl
 	if dist < 0 {
 		dist = -dist
@@ -190,8 +197,7 @@ func (d *Device) SeekTime(lbn int64) time.Duration {
 // angleAt returns the platter angle at time t, tracked deterministically
 // from the last service.
 func (d *Device) angleAt(t time.Duration) float64 {
-	period := d.p.RotationPeriod()
-	delta := float64((t-d.lastTime)%period) / float64(period)
+	delta := float64((t-d.lastTime)%d.period) / float64(d.period)
 	a := d.nowAngle + delta
 	return a - math.Floor(a)
 }
@@ -217,16 +223,17 @@ func (d *Device) Service(now time.Duration, r device.Request) (device.Completion
 			return c, nil
 		}
 	}
+	// Resolve the start position once; the seek reuses its cylinder.
 	z := d.zoneOf(r.Block)
-	_, head, sector := d.locate(r.Block)
+	cyl, head, sector := d.locateIn(z, r.Block)
 
-	seek := d.SeekTime(r.Block)
+	seek := d.seekTo(cyl)
 	if head != d.head && seek < d.p.HeadSwitch {
 		seek = d.p.HeadSwitch // head switch not hidden under the seek
 	}
 
 	// Rotational wait for the first sector after the seek completes.
-	period := d.p.RotationPeriod()
+	period := d.period
 	arrive := now + seek
 	angle := d.angleAt(arrive)
 	targetAngle := float64(sector) / float64(z.sectors)
@@ -254,8 +261,14 @@ func (d *Device) Service(now time.Duration, r device.Request) (device.Completion
 
 	finish := now + seek + rot + xfer
 
-	// Update head/platter state.
-	endCyl, endHead, endSector := d.locate(r.Block + r.Blocks - 1)
+	// Update head/platter state. The last block almost always shares the
+	// first block's zone, so only a zone-crossing request walks the table.
+	end := r.Block + r.Blocks - 1
+	ez := z
+	if end >= z.firstBlock+z.blocks {
+		ez = d.zoneOf(end)
+	}
+	endCyl, endHead, endSector := d.locateIn(ez, end)
 	d.cyl, d.head = endCyl, endHead
 	d.lastTime = finish
 	d.nowAngle = float64(endSector+1) / float64(z.sectors)

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -361,6 +362,158 @@ func TestElevatorReducesAvgSeekBelowRandom(t *testing.T) {
 	avg := total / time.Duration(n)
 	if avg >= d.Params().AvgAccess() {
 		t.Errorf("elevator avg positioning %v not below random-access %v", avg, d.Params().AvgAccess())
+	}
+}
+
+// refCLook is the arrival-order C-LOOK scan the batch index must
+// reproduce: the first request, in arrival order, with a strictly lower
+// cylinder than any earlier candidate at or above the head; if none is
+// at or above the head, the first request at the lowest cylinder.
+type refCLook struct {
+	dev     *Device
+	pending []device.Request
+	cyls    []int // cyls[i]: cylinder of pending[i]
+}
+
+func (r *refCLook) enqueue(qs []device.Request) {
+	for _, q := range qs {
+		r.pending = append(r.pending, q)
+		r.cyls = append(r.cyls, r.dev.Cylinder(q.Block))
+	}
+}
+
+func (r *refCLook) dispatch(now time.Duration) (device.Completion, error) {
+	cur := r.dev.cyl
+	up, low := -1, -1
+	for i, c := range r.cyls {
+		if c >= cur && (up < 0 || c < r.cyls[up]) {
+			up = i
+		}
+		if low < 0 || c < r.cyls[low] {
+			low = i
+		}
+	}
+	if up < 0 {
+		up = low
+	}
+	q := r.pending[up]
+	r.pending = slices.Delete(r.pending, up, up+1)
+	r.cyls = slices.Delete(r.cyls, up, up+1)
+	c, err := r.dev.Service(now, q)
+	c.QueueDelay = now - q.Issued
+	return c, err
+}
+
+// clookBatch draws one seeded batch of n requests of the given shape.
+// Stream IDs repeat; Issued numbers the arrivals.
+func clookBatch(rng *sim.RNG, d *Device, shape string, n int) []device.Request {
+	below := func(n int64) int64 { return int64(rng.Uint64n(uint64(n))) }
+	g := d.Geometry()
+	perCyl := int64(d.Params().Heads) * d.zones[0].sectors
+	hot := make([]int64, 1+rng.Intn(8)) // a few LBNs shared by many requests
+	for i := range hot {
+		hot[i] = below(g.Blocks - 128)
+	}
+	out := make([]device.Request, n)
+	for i := range out {
+		blocks := 1 + below(64)
+		var lbn int64
+		switch shape {
+		case "uniform":
+			lbn = below(g.Blocks - blocks)
+		case "duplicates":
+			lbn = hot[rng.Intn(len(hot))] + below(2)
+		case "cylinder0":
+			blocks = 1 + below(8)
+			lbn = below(perCyl - blocks)
+		case "lastblock":
+			lbn = g.Blocks - blocks // ends on the disk's last block
+			if rng.Intn(2) == 0 {
+				lbn = below(g.Blocks - blocks)
+			}
+		}
+		out[i] = device.Request{Op: device.Read, Block: lbn, Blocks: blocks,
+			Stream: rng.Intn(n/4 + 1), Issued: time.Duration(i)}
+	}
+	return out
+}
+
+// TestCLookMatchesArrivalScan drains seeded batches through one reused
+// CLook scheduler and through refCLook on twin devices, and requires the
+// same completions in the same order — hence the same stream and arrival
+// at every pick. Each batch is enqueued in two bursts around a partial
+// drain, so the index is rebuilt over removed entries; the head starts
+// from a random cylinder, and now and then jumps to another one between
+// picks, so sweeps wrap and the head also moves backwards.
+func TestCLookMatchesArrivalScan(t *testing.T) {
+	sizes := []int{1, 2, 3, 17, 64, radixMin - 1, radixMin, radixMin + 1, 1000, 4096}
+	for _, p := range []Params{FutureDisk(), Atlas10K3()} {
+		rng := sim.NewRNG(13)
+		var s *Scheduler
+		for _, shape := range []string{"uniform", "duplicates", "cylinder0", "lastblock"} {
+			for _, n := range sizes {
+				got, _ := New(p)
+				want, _ := New(p)
+				if s == nil {
+					s = NewScheduler(got, CLook)
+				} else {
+					s.Rebind(got, CLook)
+				}
+				ref := &refCLook{dev: want}
+				now := time.Duration(0)
+				// move services one outside request on both drives, putting
+				// the head on a random cylinder behind the scheduler's back.
+				move := func() {
+					q := device.Request{Block: int64(rng.Uint64n(uint64(got.Geometry().Blocks - 8))), Blocks: 8}
+					at := now
+					for _, d := range []*Device{got, want} {
+						c, err := d.Service(at, q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						now = c.Finish
+					}
+				}
+				move()
+				picks := 0
+				drain := func(count int) {
+					for ; count > 0; count-- {
+						if rng.Intn(32) == 0 {
+							move()
+						}
+						c, ok, err := s.Dispatch(now)
+						if err != nil || !ok {
+							t.Fatalf("%s %s n=%d pick %d: ok=%v err=%v", p.Name, shape, n, picks, ok, err)
+						}
+						w, err := ref.dispatch(now)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if c != w {
+							t.Fatalf("%s %s n=%d pick %d: got stream %d arrival %d, want stream %d arrival %d",
+								p.Name, shape, n, picks, c.Stream, c.Issued, w.Stream, w.Issued)
+						}
+						now = c.Finish
+						picks++
+					}
+				}
+				batch := clookBatch(rng, got, shape, n)
+				split := 1 + rng.Intn(n)
+				for _, q := range batch[:split] {
+					s.Enqueue(q)
+				}
+				ref.enqueue(batch[:split])
+				drain(rng.Intn(split))
+				for _, q := range batch[split:] {
+					s.Enqueue(q)
+				}
+				ref.enqueue(batch[split:])
+				drain(s.Len())
+				if picks != n || len(ref.pending) != 0 {
+					t.Fatalf("%s %s n=%d: %d picks, %d reference requests left", p.Name, shape, n, picks, len(ref.pending))
+				}
+			}
+		}
 	}
 }
 

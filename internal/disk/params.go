@@ -145,7 +145,7 @@ func (p Params) seekExponent() float64 {
 
 // seekTimeNorm returns the arm move time across the normalized distance
 // u in [0,1], given the pre-calibrated exponent.
-func (p Params) seekTimeNorm(u, exponent float64) time.Duration {
+func (p *Params) seekTimeNorm(u, exponent float64) time.Duration {
 	if u <= 0 {
 		return 0
 	}

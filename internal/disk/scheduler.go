@@ -2,8 +2,8 @@ package disk
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"time"
 
 	"memstream/internal/device"
@@ -43,17 +43,25 @@ func (p Policy) String() string {
 //
 // The pending set lives in one arrival-ordered slice with a removed mark
 // per entry instead of a queue that shifts on every removal. C-LOOK picks
-// come from a batch index built once per enqueue burst: request cylinders
-// are resolved once each (the zone walk in locate was the single hottest
-// call in whole-server profiles when it ran per comparison), the live
-// entries are sorted by (cylinder, arrival), and each pick binary-searches
-// for the first live entry at or above the head's current cylinder,
-// wrapping to the lowest pending cylinder when the sweep is exhausted.
-// That turns a batch of n dispatches from O(n²) cylinder resolutions into
-// one O(n log n) build plus O(log n) picks — while reproducing the exact
-// pick order of the historical arrival-order scan, including its
-// tie-breaks (earliest arrival at equal cylinder, earliest arrival among
-// the wrap candidates).
+// come from a batch index built once per enqueue burst. Each live request
+// becomes one packed key, cylinder<<32 | arrival index, so its cylinder is
+// resolved once (the zone walk in locate was the single hottest call in
+// whole-server profiles when it ran per comparison). The keys are written
+// in arrival order, then sorted by a stable LSD radix sort over the
+// cylinder bits only, in as few passes of at most radixBits bits as the
+// largest cylinder needs; batches under radixMin use slices.Sort on the
+// same keys instead. Either way the order is (cylinder, arrival): the
+// radix sort is stable over arrival-ordered input, and slices.Sort
+// compares the arrival index as the key's low half.
+//
+// A pick binary-searches the keys for cur<<32 — the first entry at or
+// above the head's cylinder — and follows skip pointers past dispatched
+// entries; when the sweep is exhausted it wraps to the first live key.
+// This reproduces the pick order of the historical arrival-order scan
+// exactly, tie-breaks included: at an equal cylinder the earliest arrival
+// sorts first, and the wrap lands on the earliest arrival at the lowest
+// pending cylinder. A batch of n dispatches costs one build plus an
+// O(log n) search per pick, not O(n²) cylinder resolutions.
 //
 // All storage is reused across batches, and Rebind re-arms a pooled
 // Scheduler for another device, so steady-state scheduling allocates
@@ -68,12 +76,19 @@ type Scheduler struct {
 	head    int // arrival cursor: everything before it is removed
 
 	// C-LOOK batch index, valid while built and no Enqueue intervened.
-	built     bool
-	cyls      []int   // cyls[i] = cylinder of reqs[i] (live entries only)
-	order     []int32 // live arrival indices sorted by (cylinder, arrival)
-	orderCyl  []int   // cylinder at each order position (binary-search key)
-	orderNext []int32 // skip pointers over removed order positions
+	built   bool
+	keys    []uint64 // live entries as cylinder<<32 | arrival, sorted
+	scratch []uint64 // radix sort buffer, swapped with keys
+	next    []int32  // skip pointers over removed key positions
 }
+
+// radixBits caps the digit width of the C-LOOK radix sort: at most 2048
+// counters per pass, which stay in L1.
+const radixBits = 11
+
+// radixMin is the batch size from which build radix-sorts its keys;
+// below it the fixed per-pass counter cost loses to slices.Sort.
+const radixMin = 256
 
 // NewScheduler wraps dev with the given policy.
 func NewScheduler(dev *Device, policy Policy) *Scheduler {
@@ -108,47 +123,70 @@ func (s *Scheduler) Len() int { return s.live }
 
 // build constructs the sorted C-LOOK index over the live entries.
 func (s *Scheduler) build() {
-	s.order = s.order[:0]
-	s.cyls = grow(s.cyls, len(s.reqs))
+	s.keys = grow(s.keys, len(s.reqs))[:0]
+	maxCyl := 0
 	for i := range s.reqs {
 		if s.removed[i] {
 			continue
 		}
-		s.cyls[i] = s.dev.Cylinder(s.reqs[i].Block)
-		s.order = append(s.order, int32(i))
+		c := s.dev.Cylinder(s.reqs[i].Block)
+		maxCyl = max(maxCyl, c)
+		s.keys = append(s.keys, uint64(c)<<32|uint64(i))
 	}
-	// (cylinder, arrival) order: stable within a cylinder because arrival
-	// index is the tiebreak, exactly the old scan's "first strictly
-	// better" semantics.
-	slices.SortFunc(s.order, func(a, b int32) int {
-		if s.cyls[a] != s.cyls[b] {
-			if s.cyls[a] < s.cyls[b] {
-				return -1
-			}
-			return 1
-		}
-		return int(a - b)
-	})
-	s.orderCyl = grow(s.orderCyl, len(s.order))
-	s.orderNext = grow(s.orderNext, len(s.order))
-	for p, i := range s.order {
-		s.orderCyl[p] = s.cyls[i]
-		s.orderNext[p] = int32(p + 1)
+	if len(s.keys) < radixMin {
+		slices.Sort(s.keys)
+	} else {
+		s.keys, s.scratch = radixSort(s.keys, grow(s.scratch, len(s.keys)), bits.Len(uint(maxCyl)))
+	}
+	s.next = grow(s.next, len(s.keys))
+	for p := range s.next {
+		s.next[p] = int32(p + 1)
 	}
 	s.built = true
 }
 
-// skipLive advances an order position past removed entries, following and
+// radixSort stably sorts keys by their cylinder half, of which only the
+// low cylBits bits may be set, using buf as the other buffer. It returns
+// the sorted slice and the spare one, each either keys or buf.
+func radixSort(keys, buf []uint64, cylBits int) (sorted, spare []uint64) {
+	if cylBits == 0 {
+		return keys, buf
+	}
+	passes := (cylBits + radixBits - 1) / radixBits
+	width := (cylBits + passes - 1) / passes
+	mask := uint64(1)<<width - 1
+	var count [1 << radixBits]int32
+	for shift := 32; shift < 32+cylBits; shift += width {
+		clear(count[:mask+1])
+		for _, k := range keys {
+			count[k>>shift&mask]++
+		}
+		var sum int32
+		for b, c := range count[:mask+1] {
+			count[b] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			b := k >> shift & mask
+			buf[count[b]] = k
+			count[b]++
+		}
+		keys, buf = buf, keys
+	}
+	return keys, buf
+}
+
+// skipLive advances a key position past removed entries, following and
 // path-compressing the skip pointers so repeated picks stay near O(1).
 func (s *Scheduler) skipLive(p int) int {
-	n := len(s.order)
+	n := len(s.keys)
 	p0 := p
-	for p < n && s.removed[s.order[p]] {
-		p = int(s.orderNext[p])
+	for p < n && s.removed[uint32(s.keys[p])] {
+		p = int(s.next[p])
 	}
 	for p0 < p && p0 < n {
-		nx := int(s.orderNext[p0])
-		s.orderNext[p0] = int32(p)
+		nx := int(s.next[p0])
+		s.next[p0] = int32(p)
 		p0 = nx
 	}
 	return p
@@ -179,12 +217,11 @@ func (s *Scheduler) pick() int {
 		if !s.built {
 			s.build()
 		}
-		cur := s.dev.cyl
-		p := s.skipLive(sort.SearchInts(s.orderCyl, cur))
-		if p >= len(s.order) {
+		p, _ := slices.BinarySearch(s.keys, uint64(s.dev.cyl)<<32)
+		if p = s.skipLive(p); p >= len(s.keys) {
 			p = s.skipLive(0) // wrap the sweep to the lowest pending cylinder
 		}
-		return int(s.order[p])
+		return int(uint32(s.keys[p]))
 	default: // FCFS
 		for s.removed[s.head] {
 			s.head++
@@ -199,17 +236,16 @@ func (s *Scheduler) Dispatch(now time.Duration) (device.Completion, bool, error)
 		return device.Completion{}, false, nil
 	}
 	i := s.pick()
-	r := s.reqs[i]
 	s.removed[i] = true
 	s.live--
+	c, err := s.dev.Service(now, s.reqs[i])
 	if s.live == 0 {
 		s.reset() // batch drained: recycle the arrays for the next burst
 	}
-	c, err := s.dev.Service(now, r)
 	if err != nil {
 		return device.Completion{}, false, err
 	}
-	c.QueueDelay = now - r.Issued
+	c.QueueDelay = now - c.Issued
 	return c, true, nil
 }
 
@@ -232,7 +268,7 @@ func (s *Scheduler) DrainAll(now time.Duration) ([]device.Completion, error) {
 }
 
 // grow resizes a reusable scratch slice to n without preserving contents.
-func grow[T int | int32](s []T, n int) []T {
+func grow[T int32 | uint64](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
